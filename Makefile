@@ -5,7 +5,7 @@
 
 PYTHON ?= python
 
-.PHONY: test test-faults test-serving test-aqp lint lint-sql reprolint ruff mypy race docscheck bench-ml all
+.PHONY: test test-faults test-serving test-aqp lint lint-sql reprolint ruff mypy race docscheck bench-ml bench-smoke all
 
 all: lint test
 
@@ -73,3 +73,10 @@ bench-ml:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q \
 		benchmarks/bench_ablation_incremental.py \
 		benchmarks/bench_ablation_solvers.py
+
+# Smoke test of the repository benchmark (perfbench/): a one-second run of
+# every workload must pass its numpy reference checks and report every
+# metric BENCHMARK.json names.  pytest's testpaths cover tests/ only, so
+# this runs here and in its own CI job.
+bench-smoke:
+	$(PYTHON) -m pytest -q perfbench/test_smoke.py

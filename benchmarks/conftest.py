@@ -20,7 +20,7 @@ Perfetto, or read the ``spans``/``metrics`` keys directly — see
 Next to those traces, the autouse ``bench_datapoint`` fixture writes one
 ``BENCH_<figure>.json`` per benchmark module (``<figure>`` is the module
 stem minus its ``bench_`` prefix): a list of datapoints carrying each
-test's wall time and the non-zero metric deltas it produced, so a harness
+test's wall time and the metrics it produced, so a harness
 can diff figures across runs without parsing chrome traces.
 """
 
@@ -73,13 +73,61 @@ def export_trace(request):
     )
 
 
-def _summed_metrics() -> dict[str, float]:
-    """One flat name→value dict summed across every live registry."""
-    totals: dict[str, float] = {}
+#: How each histogram statistic combines across registries.
+_HISTOGRAM_RULES = {"count": "total", "sum": "total", "min": "min", "max": "max"}
+_COMBINE = {"total": sum, "level": sum, "peak": max, "min": min, "max": max}
+
+
+def _combined_metrics() -> dict[str, tuple[str, float]]:
+    """Every live metric key combined across registries, with its rule.
+
+    ``total`` keys (counters, histogram ``_count``/``_sum``) only grow, so
+    a test's share is a delta; ``level`` keys (gauge ``_now``) sum across
+    registries; ``peak`` keys (gauge ``_peak``, watermark gauges) and
+    histogram ``_max`` take the maximum, histogram ``_min`` the minimum.
+    Histograms with no observations contribute nothing.
+    """
+    combined: dict[str, tuple[str, float]] = {}
     for registry in all_registries():
-        for name, value in registry.snapshot().items():
-            totals[name] = totals.get(name, 0.0) + value
-    return totals
+        for instrument in registry.instruments():
+            name, kind = instrument.name, instrument.spec.kind
+            snapshot: dict[str, float] = {}
+            instrument.snapshot_into(snapshot)
+            if kind == "histogram" and not snapshot[f"{name}_count"]:
+                continue
+            for key, value in snapshot.items():
+                if kind == "counter":
+                    rule = "total"
+                elif kind == "histogram":
+                    rule = _HISTOGRAM_RULES[key[len(name) + 1:]]
+                else:
+                    rule = "level" if key == f"{name}_now" else "peak"
+                if key in combined:
+                    value = _COMBINE[rule]((combined[key][1], value))
+                combined[key] = (rule, value)
+    return combined
+
+
+def datapoint_metrics(before: dict[str, tuple[str, float]],
+                      after: dict[str, tuple[str, float]]) -> dict[str, float]:
+    """What a test produced, from combined snapshots taken around it.
+
+    Totals report their non-zero delta.  Gauge levels and peaks report the
+    value as recorded when the test changed it (a new key counts from
+    zero); a histogram's ``_min``/``_max`` as recorded whenever the test
+    observed into it.
+    """
+    def delta(key: str) -> float:
+        return after[key][1] - before.get(key, ("", 0.0))[1]
+
+    out: dict[str, float] = {}
+    for key, (rule, value) in sorted(after.items()):
+        if rule in ("min", "max"):
+            if delta(f"{key[:-len(rule)]}count"):
+                out[key] = value
+        elif delta(key):
+            out[key] = delta(key) if rule == "total" else value
+    return out
 
 
 #: Figures whose BENCH_*.json has been truncated this session, so repeated
@@ -91,27 +139,24 @@ _BENCH_RESET: set[Path] = set()
 def bench_datapoint(request):
     """Append one datapoint to this module's ``BENCH_<figure>.json``.
 
-    A datapoint is the test's wall time plus the non-zero metric deltas it
-    produced (summed across every live registry; instruments created during
-    the test count from zero).  Files land next to the chrome-trace
-    artifacts and honor the same ``REPRO_TRACE_DIR`` override / ``off``
-    switch.  Peak/watermark keys are deliberately kept: a drop in
-    ``peak_batch_bytes`` between runs is as much a regression signal as a
-    slowdown.
+    A datapoint is the test's wall time plus the metrics it produced,
+    combined across every live registry (see :func:`datapoint_metrics`):
+    counter deltas (instruments created during the test count from zero),
+    and gauge levels, peaks and histogram minimums/maximums as recorded.
+    Files land next to the chrome-trace artifacts and honor the same
+    ``REPRO_TRACE_DIR`` override / ``off`` switch.  Peak/watermark keys
+    are deliberately kept: a drop in ``peak_batch_bytes`` between runs is
+    as much a regression signal as a slowdown.
     """
     trace_dir = os.environ.get("REPRO_TRACE_DIR", "")
     if trace_dir.lower() == "off":
         yield
         return
-    before = _summed_metrics()
+    before = _combined_metrics()
     t0 = time.perf_counter()
     yield
     wall = time.perf_counter() - t0
-    deltas = {}
-    for name, value in sorted(_summed_metrics().items()):
-        delta = value - before.get(name, 0.0)
-        if delta:
-            deltas[name] = delta
+    metrics = datapoint_metrics(before, _combined_metrics())
     figure = re.sub(r"^bench_", "", request.node.path.stem)
     out_dir = Path(trace_dir) if trace_dir else Path(__file__).parent / ".traces"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -124,7 +169,7 @@ def bench_datapoint(request):
     datapoint = {
         "test": request.node.nodeid,
         "wall_seconds": round(wall, 6),
-        "metrics": deltas,
+        "metrics": metrics,
     }
     # Derived figures a benchmark computed itself (QPS, percentiles, ...)
     # arrive via pytest's record_property and ride along in the datapoint.

@@ -596,36 +596,33 @@ class QueryExecutor:
                            snapshot: "Snapshot | None" = None,
                            ) -> ResultSet:
         if batches is None and self._streaming(plan.table):
-            merged = self._aggregate_streaming(plan, snapshot)
+            state = self._aggregate_streaming(plan, snapshot)
         else:
             if batches is None:
                 batches = self._table_batches(plan.table, plan.columns_needed,
                                               plan.where, snapshot)
-            merged = {}
+            state = _AggregateState(plan)
             for batch in batches:
-                _merge_partials(merged, self._partial_aggregate(plan, batch))
-        return self._finalize_aggregate(plan, merged)
+                state.add(batch)
+        return self._finalize_aggregate(plan, state)
 
     def _aggregate_streaming(self, plan: AggregatePlan,
                              snapshot: "Snapshot | None" = None
-                             ) -> dict[tuple, list["_AggState"]]:
-        """Fold each node's batches into partial states as they stream past;
-        only O(groups) state is held per node, never the node's segment."""
+                             ) -> "_AggregateState":
+        """Fold each node's batches into columnar partial state as they
+        stream past; only O(groups) state is held per node, never the
+        node's segment."""
         sources = self._node_sources(plan, plan.columns_needed, snapshot)
         tracer = self.cluster.tracer
         parent = tracer.current()
 
-        def fold_node(node: int) -> dict[tuple, list[_AggState]]:
-            local: dict[tuple, list[_AggState]] = {}
+        def fold_node(node: int) -> _AggregateState:
+            local = _AggregateState(plan)
             with tracer.span("aggregate.node", parent=parent, node=node):
                 stream = sources[node]()
                 try:
                     for batch in stream:
-                        batch = _apply_where(plan.where, batch)
-                        if not _batch_rows(batch):
-                            continue
-                        _merge_partials(local,
-                                        self._partial_aggregate(plan, batch))
+                        local.add(_apply_where(plan.where, batch))
                 finally:
                     close = getattr(stream, "close", None)
                     if close is not None:
@@ -635,38 +632,22 @@ class QueryExecutor:
         max_workers = max(1, min(len(sources), self.cluster.executor_threads))
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             per_node = list(pool.map(fold_node, range(len(sources))))
-        merged: dict[tuple, list[_AggState]] = {}
+        merged = _AggregateState(plan)
         for local in per_node:  # merge in node index order
-            _merge_partials(merged, local)
+            merged.absorb(local)
         return merged
 
     def _finalize_aggregate(self, plan: AggregatePlan,
-                            merged: dict[tuple, list["_AggState"]]) -> ResultSet:
+                            state: "_AggregateState") -> ResultSet:
         """Initiator tail shared by both modes: finalize states, project,
         HAVING, order, limit."""
-        if not plan.group_by and not merged:
-            # Global aggregate over zero rows still yields one row.
-            merged[()] = [_AggState(agg) for agg in plan.aggregates]
-
-        group_keys = sorted(merged.keys(), key=_sort_key_tuple)
-        env: dict[str, np.ndarray] = {}
-        for i, expr in enumerate(plan.group_by):
-            env[_group_alias(i)] = np.asarray(
-                [key[i] for key in group_keys],
-                dtype=object if any(isinstance(k[i], str) for k in group_keys) else None,
-            )
-        for j, agg in enumerate(plan.aggregates):
-            env[_agg_alias(j)] = np.asarray(
-                [merged[key][j].finalize() for key in group_keys]
-            )
-
+        env, rows = state.finalize()
         rewritten_items = [
             ast.SelectItem(_rewrite(item.expr, plan), item.output_name)
             for item in plan.items
         ]
         names = [item.output_name for item in plan.items]
         columns = {}
-        rows = len(group_keys)
         for item, name in zip(rewritten_items, names):
             value = np.asarray(expressions.evaluate(item.expr, env))
             columns[name] = _broadcast_rows(value, rows)
@@ -692,38 +673,6 @@ class QueryExecutor:
         if plan.limit is not None:
             columns = {name: arr[: plan.limit] for name, arr in columns.items()}
         return ResultSet(names, columns)
-
-    def _partial_aggregate(
-        self, plan: AggregatePlan, batch: dict[str, np.ndarray]
-    ) -> dict[tuple, list["_AggState"]]:
-        rows = _batch_rows(batch)
-        if plan.group_by:
-            key_arrays = [
-                _broadcast_rows(np.asarray(expressions.evaluate(e, batch)), rows)
-                for e in plan.group_by
-            ]
-            group_keys, inverse = _factorize(key_arrays)
-        else:
-            group_keys, inverse = [()], np.zeros(rows, dtype=np.int64)
-
-        agg_inputs = []
-        for agg in plan.aggregates:
-            if agg.arg is None:
-                agg_inputs.append(None)
-            else:
-                value = np.asarray(expressions.evaluate(agg.arg, batch))
-                agg_inputs.append(_broadcast_rows(value, rows))
-
-        partials: dict[tuple, list[_AggState]] = {}
-        for g, key in enumerate(group_keys):
-            mask = inverse == g
-            states = []
-            for agg, values in zip(plan.aggregates, agg_inputs):
-                state = _AggState(agg)
-                state.update(None if values is None else values[mask], int(mask.sum()))
-                states.append(state)
-            partials[key] = states
-        return partials
 
     # -- UDTF fan-out -----------------------------------------------------------
 
@@ -1154,77 +1103,198 @@ class QueryExecutor:
 
 # -- aggregation state --------------------------------------------------------
 
+#: Partial state fields per aggregate and the ufunc that merges each field
+#: across partials.  MIN/MAX merge with ``np.minimum``/``np.maximum``, which
+#: propagate NaN (``fmin``/``fmax`` would skip it).  DISTINCT keeps one set
+#: per group, merged by ``|`` (what ``np.bitwise_or`` calls on objects).
+_MERGE_UFUNCS: dict[str, tuple[np.ufunc, ...]] = {
+    "COUNT": (np.add,),
+    "SUM": (np.add,),
+    "AVG": (np.add, np.add),  # sum, count
+    "MIN": (np.minimum,),
+    "MAX": (np.maximum,),
+}
+_DISTINCT_UFUNCS: tuple[np.ufunc, ...] = (np.bitwise_or,)
 
-class _AggState:
-    """Mergeable partial state for one aggregate call."""
+#: Pending groups a state holds before it first compacts its partials.
+_COMPACT_GROUPS = 4_096
 
-    def __init__(self, call: ast.AggregateCall) -> None:
-        self.call = call
-        self.count = 0
-        self.total = 0.0
-        self.minimum: Any = None
-        self.maximum: Any = None
-        self.distinct: set | None = set() if call.distinct else None
+#: ``starts`` of a partial with a single group (every global aggregate).
+_ONE_GROUP = np.zeros(1, dtype=np.intp)
 
-    def update(self, values: np.ndarray | None, row_count: int) -> None:
-        name = self.call.name
-        if name == "COUNT" and self.call.arg is None:
-            self.count += row_count
+#: A partial: (one key array per GROUP BY expression, per aggregate its
+#: state field arrays); row g of every array belongs to group g.
+_Partial = tuple[list[np.ndarray], list[list[np.ndarray]]]
+
+
+class _AggregateState:
+    """Columnar two-phase aggregation state: init, transition, merge, final.
+
+    A partial holds one array per GROUP BY expression with each group's
+    key (none for a global aggregate) and, per aggregate call, its state
+    arrays: COUNT a count, SUM a sum, AVG a sum and a count, MIN/MAX the
+    extremum, DISTINCT one set of values per group.  Integer inputs sum
+    in int64, so integer ``SUM`` is exact; everything else sums in
+    float64.
+
+    :meth:`add` turns a batch into a partial with one stable sort of its
+    keys (:func:`_factorize`) and one ``ufunc.reduceat`` per field (a
+    plain ``ufunc.reduce`` for a single group).  Partials merge, across
+    batches and across nodes, by concatenating their arrays,
+    re-factorizing the keys and reducing each field with its merge ufunc.
+    Pending partials compact once they hold more than ``_COMPACT_GROUPS``
+    groups and twice the groups of the last compaction.  So a node holds
+    O(groups) state, and a stream of tiny batches (trickle INSERTs in the
+    WOS) costs one merge at the end instead of one per batch.
+    """
+
+    def __init__(self, plan: AggregatePlan) -> None:
+        self.plan = plan
+        self.parts: list[_Partial] = []
+        self._pending = 0    # groups across self.parts
+        self._compacted = 0  # groups after the last compaction
+
+    def add(self, batch: dict[str, np.ndarray]) -> None:
+        """Fold one filtered batch in (an empty batch adds nothing)."""
+        rows = _batch_rows(batch)
+        if not rows:
             return
-        if values is None:
+        plan = self.plan
+        if plan.group_by:
+            keys, order, starts = _factorize([
+                _broadcast_rows(np.asarray(expressions.evaluate(e, batch)), rows)
+                for e in plan.group_by
+            ])
+        else:
+            keys, order, starts = [], None, _ONE_GROUP
+        # np.diff(..., append=) alone costs more than a one-row WOS batch's
+        # whole fold, so a single group takes the shortcut.
+        sizes = (np.diff(starts, append=rows) if len(starts) > 1
+                 else np.array([rows], dtype=np.int64))
+        fields = []
+        for agg in plan.aggregates:
+            values = None
+            if agg.arg is not None:
+                values = _broadcast_rows(
+                    np.asarray(expressions.evaluate(agg.arg, batch)), rows)
+            fields.append(_transition(agg, values, order, starts, sizes))
+        self._push((keys, fields))
+
+    def absorb(self, other: "_AggregateState") -> None:
+        """Merge another state's partials into this one."""
+        for part in other.parts:
+            self._push(part)
+
+    def _push(self, part: _Partial) -> None:
+        self.parts.append(part)
+        self._pending += _groups(part)
+        if self._pending > max(2 * self._compacted, _COMPACT_GROUPS):
+            self._compact()
+
+    def _compact(self) -> None:
+        if len(self.parts) > 1:
+            self.parts = [_merge_parts(self.plan, self.parts)]
+        self._pending = self._compacted = sum(_groups(p) for p in self.parts)
+
+    def finalize(self) -> tuple[dict[str, np.ndarray], int]:
+        """The final step: one column per group key and per aggregate
+        (groups in key order), and the number of groups."""
+        plan = self.plan
+        self._compact()
+        if not self.parts:
+            if plan.group_by:
+                aliases = ([_group_alias(i) for i in range(len(plan.group_by))]
+                           + [_agg_alias(j) for j in range(len(plan.aggregates))])
+                return {alias: np.empty(0) for alias in aliases}, 0
+            # A global aggregate over zero rows still yields one row.
+            return ({_agg_alias(j): np.asarray([0 if agg.name == "COUNT" else None])
+                     for j, agg in enumerate(plan.aggregates)}, 1)
+        keys, fields = self.parts[0]
+        env = {
+            _group_alias(i): key.astype(object) if key.dtype.kind in "US" else key
+            for i, key in enumerate(keys)
+        }
+        for j, (agg, state) in enumerate(zip(plan.aggregates, fields)):
+            env[_agg_alias(j)] = _final(agg, state)
+        return env, _groups(self.parts[0])
+
+
+def _groups(part: _Partial) -> int:
+    keys, _ = part
+    return len(keys[0]) if keys else 1
+
+
+def _reduce(ufunc: np.ufunc, values: np.ndarray, order: np.ndarray | None,
+            starts: np.ndarray) -> np.ndarray:
+    """Reduce ``values`` per group; groups start at ``starts`` in the row
+    order ``order`` (unused for a single group)."""
+    if len(starts) == 1:
+        return ufunc.reduce(values, keepdims=True)
+    return ufunc.reduceat(values[order], starts)
+
+
+def _transition(agg: ast.AggregateCall, values: np.ndarray | None,
+                order: np.ndarray | None, starts: np.ndarray,
+                sizes: np.ndarray) -> list[np.ndarray]:
+    """One batch's state fields for ``agg``, one row per group."""
+    name = agg.name
+    if values is None:
+        if name != "COUNT":
             raise SqlAnalysisError(f"{name} requires an argument")
-        values = np.atleast_1d(values)
-        if self.distinct is not None:
-            self.distinct.update(values.tolist())
-            return
-        self.count += len(values)
-        if name in ("SUM", "AVG"):
-            if len(values):
-                self.total += float(np.sum(values.astype(np.float64)))
-        elif name == "MIN":
-            if len(values):
-                candidate = values.min()
-                self.minimum = candidate if self.minimum is None else min(self.minimum, candidate)
-        elif name == "MAX":
-            if len(values):
-                candidate = values.max()
-                self.maximum = candidate if self.maximum is None else max(self.maximum, candidate)
-        elif name != "COUNT":
-            raise SqlAnalysisError(f"unknown aggregate {name}")
-
-    def merge(self, other: "_AggState") -> None:
-        self.count += other.count
-        self.total += other.total
-        if other.minimum is not None:
-            self.minimum = other.minimum if self.minimum is None else min(
-                self.minimum, other.minimum)
-        if other.maximum is not None:
-            self.maximum = other.maximum if self.maximum is None else max(
-                self.maximum, other.maximum)
-        if self.distinct is not None and other.distinct is not None:
-            self.distinct |= other.distinct
-
-    def finalize(self) -> Any:
-        name = self.call.name
-        if self.distinct is not None:
-            if name == "COUNT":
-                return len(self.distinct)
-            if name == "SUM":
-                return float(sum(self.distinct)) if self.distinct else None
-            if name == "AVG":
-                return float(sum(self.distinct)) / len(self.distinct) if self.distinct else None
+        return [sizes]
+    if agg.distinct:
+        if name not in ("COUNT", "SUM", "AVG"):
             raise SqlAnalysisError(f"DISTINCT not supported for {name}")
-        if name == "COUNT":
-            return self.count
-        if name == "SUM":
-            return self.total if self.count else None
-        if name == "AVG":
-            return self.total / self.count if self.count else None
-        if name == "MIN":
-            return self.minimum
-        if name == "MAX":
-            return self.maximum
-        raise SqlAnalysisError(f"unknown aggregate {name}")
+        if len(starts) > 1:
+            values = values[order]
+        sets = np.empty(len(starts), dtype=object)
+        for g, chunk in enumerate(np.split(values, starts[1:])):
+            sets[g] = set(chunk.tolist())
+        return [sets]
+    if name == "COUNT":
+        return [sizes]
+    if name in ("SUM", "AVG"):
+        exact = values.dtype.kind in "biu"
+        sums = _reduce(np.add, values.astype(np.int64 if exact else np.float64,
+                                             copy=False), order, starts)
+        return [sums] if name == "SUM" else [sums, sizes]
+    if name in ("MIN", "MAX"):
+        if values.dtype.kind in "US":
+            values = values.astype(object)
+        return [_reduce(_MERGE_UFUNCS[name][0], values, order, starts)]
+    raise SqlAnalysisError(f"unknown aggregate {name}")
+
+
+def _merge_parts(plan: AggregatePlan, parts: list[_Partial]) -> _Partial:
+    """Merge partials: concatenate, re-factorize the keys, reduce fields."""
+    keys = [np.concatenate(column) for column in zip(*(k for k, _ in parts))]
+    if keys:
+        keys, order, starts = _factorize(keys)
+    else:
+        order, starts = None, _ONE_GROUP
+    fields = []
+    for j, agg in enumerate(plan.aggregates):
+        ufuncs = _DISTINCT_UFUNCS if agg.distinct else _MERGE_UFUNCS[agg.name]
+        fields.append([
+            _reduce(ufunc, np.concatenate([f[j][i] for _, f in parts]),
+                    order, starts)
+            for i, ufunc in enumerate(ufuncs)
+        ])
+    return keys, fields
+
+
+def _final(agg: ast.AggregateCall, state: list[np.ndarray]) -> np.ndarray:
+    """Each group's aggregate value from its merged state fields."""
+    if agg.distinct:
+        sets = state[0]
+        counts = np.fromiter((len(s) for s in sets), np.int64, len(sets))
+        if agg.name == "COUNT":
+            return counts
+        sums = np.asarray([sum(s) for s in sets])
+        return sums if agg.name == "SUM" else sums / counts
+    if agg.name == "AVG":
+        return state[0] / state[1]
+    return state[0]
 
 
 # -- streaming helpers --------------------------------------------------------
@@ -1258,19 +1328,6 @@ def _project_batch(
         value = np.asarray(expressions.evaluate(order.expr, batch))
         order_vals.append(_broadcast_rows(value, rows))
     return projected, order_vals
-
-
-def _merge_partials(
-    merged: dict[tuple, list["_AggState"]],
-    partials: dict[tuple, list["_AggState"]],
-) -> None:
-    """Merge per-group partial aggregate states into ``merged`` in place."""
-    for key, states in partials.items():
-        if key not in merged:
-            merged[key] = states
-        else:
-            for existing, incoming in zip(merged[key], states):
-                existing.merge(incoming)
 
 
 def _chain_one(first: dict[str, np.ndarray],
@@ -1454,43 +1511,33 @@ def _sort_index(keys: list[np.ndarray], ascending: list[bool]) -> np.ndarray:
     return index
 
 
-def _factorize(key_arrays: list[np.ndarray]) -> tuple[list[tuple], np.ndarray]:
-    """Group rows by composite key; returns (unique keys, inverse indices)."""
-    codes = []
-    uniques = []
+def _factorize(key_arrays: list[np.ndarray]
+               ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Group rows by composite key with one stable sort.
+
+    Returns ``(keys, order, starts)``: the distinct keys, one array per
+    key column with groups in key order; the permutation that sorts the
+    rows by key (rows of one group stay in scan order); and the position
+    in that order where each group starts.  NaN keys form one group,
+    sorted last.
+    """
+    if len(key_arrays) == 1:
+        order = np.argsort(key_arrays[0], kind="stable")
+    else:
+        order = np.lexsort(key_arrays[::-1])  # lexsort's primary key is last
+    boundary = np.ones(len(order), dtype=bool)
+    differs = np.zeros(max(len(order) - 1, 0), dtype=bool)
+    sorted_keys = []
     for arr in key_arrays:
-        unique_vals, inverse = np.unique(np.asarray(arr), return_inverse=True)
-        codes.append(inverse.astype(np.int64))
-        uniques.append(unique_vals)
-    combined = codes[0].copy()
-    for code, unique_vals in zip(codes[1:], uniques[1:]):
-        combined = combined * len(unique_vals) + code
-    unique_combined, inverse = np.unique(combined, return_inverse=True)
-    keys: list[tuple] = []
-    for combo in unique_combined:
-        parts = []
-        remaining = int(combo)
-        for unique_vals in reversed(uniques[1:]):
-            remaining, digit = divmod(remaining, len(unique_vals))
-            parts.append(unique_vals[digit])
-        parts.append(uniques[0][remaining])
-        keys.append(tuple(_to_python(v) for v in reversed(parts)))
-    return keys, inverse
-
-
-def _to_python(value: Any) -> Any:
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-def _sort_key_tuple(key: tuple) -> tuple:
-    """Sort group keys robustly across mixed types."""
-    return tuple(
-        (0, v) if isinstance(v, (int, float)) and not isinstance(v, bool)
-        else (1, str(v))
-        for v in key
-    )
+        arr = arr[order]
+        sorted_keys.append(arr)
+        step = arr[1:] != arr[:-1]
+        if arr.dtype.kind == "f":
+            step &= ~(np.isnan(arr[1:]) & np.isnan(arr[:-1]))
+        differs |= step
+    boundary[1:] = differs
+    starts = np.flatnonzero(boundary)
+    return [arr[starts] for arr in sorted_keys], order, starts
 
 
 def _group_alias(index: int) -> str:

@@ -48,7 +48,11 @@ register_scalar_function("ceiling", _with_float(np.ceil))
 register_scalar_function("sign", _with_float(np.sign))
 register_scalar_function("power", lambda x, y: np.power(
     np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)))
-register_scalar_function("mod", lambda x, y: np.mod(x, y))
+# ``%`` and MOD truncate toward zero, as in Vertica and sqlite: the result
+# takes the dividend's sign (7 % -3 = 1, MOD(-7, 3) = -1).  ``np.mod`` would
+# take the divisor's.  A zero divisor gives 0 for integers and NaN for
+# floats, as it did under ``np.mod``.
+register_scalar_function("mod", np.fmod)
 register_scalar_function("round", lambda x, d=0: np.round(
     np.asarray(x, dtype=np.float64), int(np.asarray(d).flat[0]) if np.ndim(d) else int(d)))
 register_scalar_function("is_null", lambda x: _is_null(x))
@@ -193,7 +197,7 @@ def _binary(expr: ast.BinaryOp, batch: Mapping[str, np.ndarray]) -> np.ndarray:
     if op == "/":
         return np.divide(np.asarray(left, dtype=np.float64), right)
     if op == "%":
-        return np.mod(left, right)
+        return np.fmod(left, right)  # truncated, like MOD()
     if op == "=":
         return _compare(left, right, "eq")
     if op == "<>":

@@ -1322,6 +1322,8 @@ class _Analyzer:
             )
         if expr.name == "COUNT":
             return SqlType.INTEGER
+        if expr.name == "SUM" and arg_type in (SqlType.INTEGER, SqlType.BOOLEAN):
+            return SqlType.INTEGER  # integers sum exactly, in int64
         if expr.name in ("SUM", "AVG"):
             return SqlType.FLOAT
         return arg_type  # MIN/MAX follow their argument

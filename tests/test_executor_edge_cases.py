@@ -96,6 +96,32 @@ class TestAggregateEdgeCases:
         value = typed_cluster.sql("SELECT AVG(n) FROM t").scalar()
         assert value == pytest.approx((3 + 1 + 2 - 1) / 4)
 
+    @staticmethod
+    def _nan_cluster():
+        """Three bulk loads (row groups): NaN sits in the middle one."""
+        cluster = VerticaCluster(node_count=2)
+        cluster.create_table_like("m", {"g": np.zeros(1, dtype=np.int64),
+                                        "f": np.zeros(1)})
+        for f in ([1.0, 2.0], [np.nan, 3.0], [-1.0, 4.0]):
+            cluster.bulk_load("m", {"g": np.array([0, 1]), "f": np.array(f)})
+        return cluster
+
+    def test_min_max_propagate_nan_across_batches(self):
+        cluster = self._nan_cluster()
+        lo, hi = cluster.sql("SELECT MIN(f), MAX(f) FROM m").rows()[0]
+        assert np.isnan(lo) and np.isnan(hi)
+        rows = cluster.sql(
+            "SELECT g, MIN(f) AS lo, MAX(f) AS hi FROM m GROUP BY g").rows()
+        assert rows[0][0] == 0 and np.isnan(rows[0][1]) and np.isnan(rows[0][2])
+        assert rows[1] == (1, 2.0, 4.0)
+
+    def test_nan_group_keys_form_one_group_sorted_last(self):
+        cluster = self._nan_cluster()
+        cluster.bulk_load("m", {"g": np.array([5]), "f": np.array([np.nan])})
+        rows = cluster.sql("SELECT f, COUNT(*) AS n FROM m GROUP BY f").rows()
+        assert [r[0] for r in rows[:-1]] == [-1.0, 1.0, 2.0, 3.0, 4.0]
+        assert np.isnan(rows[-1][0]) and rows[-1][1] == 2
+
 
 class TestResultSetEdgeCases:
     def test_rows_preserve_column_order(self, typed_cluster):

@@ -279,6 +279,15 @@ def test_resolved_query_carries_projection_and_types(provider):
     assert resolved.column_types["name"] is SqlType.VARCHAR
 
 
+def test_aggregate_result_types(provider):
+    resolved = check(parse(
+        "SELECT SUM(k) AS si, SUM(DISTINCT k) AS sd, SUM(a) AS sf, "
+        "AVG(k) AS ai, COUNT(a) AS n, MIN(k) AS lo FROM t"), provider)
+    assert resolved.output_types == {
+        "si": SqlType.INTEGER, "sd": SqlType.INTEGER, "sf": SqlType.FLOAT,
+        "ai": SqlType.FLOAT, "n": SqlType.INTEGER, "lo": SqlType.INTEGER}
+
+
 def test_resolved_query_carries_create_types(provider):
     resolved = check(
         parse("CREATE TABLE fresh (i INTEGER, f FLOAT, s VARCHAR, "
